@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alfsim/alf.hpp"
+#include "benchkit/args.hpp"
 
 namespace {
 
@@ -54,7 +55,10 @@ double run(std::size_t block_bytes, int blocks, bool double_buffer,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int blocks = argc > 1 ? std::atoi(argv[1]) : 32;
+  const int blocks =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: ablate_alf [blocks]")
+          : 32;
   constexpr std::size_t kBlockBytes = 16 * 1024;  // one MFC command, ~14 us
 
   std::printf(

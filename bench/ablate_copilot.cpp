@@ -9,10 +9,14 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchkit/args.hpp"
 #include "benchkit/pingpong.hpp"
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 500;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: ablate_copilot [reps]")
+          : 500;
   const double scales[] = {1.0, 0.5, 0.25, 0.0};
 
   std::printf("Ablation: Co-Pilot request-handling cost scale (%d reps)\n\n",

@@ -13,10 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchkit/args.hpp"
 #include "benchkit/pingpong.hpp"
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 1000;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: ablate_type2 [reps]")
+          : 1000;
 
   struct Variant {
     const char* name;

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "benchkit/args.hpp"
 #include "benchkit/pingpong.hpp"
 #include "cmlsim/cml.hpp"
 
@@ -64,7 +65,10 @@ double cellpilot_one_way(cellpilot::ChannelType type, std::size_t bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 500;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: cml_compare [reps]")
+          : 500;
 
   std::printf(
       "CellPilot vs Cell Messaging Layer: SPE<->SPE one-way latency (us), "

@@ -11,11 +11,15 @@
 #include <cstdlib>
 #include <string>
 
+#include "benchkit/args.hpp"
 #include "benchkit/benchjson.hpp"
 #include "benchkit/pingpong.hpp"
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 1000;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: fig6_throughput [reps]")
+          : 1000;
   const simtime::CostModel cost = simtime::default_cost_model();
   const benchkit::Method methods[] = {benchkit::Method::kCellPilot,
                                       benchkit::Method::kDma,

@@ -7,15 +7,18 @@
 // does not exist here — whatever spread remains is protocol structure.
 //
 // Usage: jitter [reps]
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
+#include "benchkit/args.hpp"
+#include "benchkit/pingpong.hpp"
 #include "cellsim/spu.hpp"
 #include "core/cellpilot.hpp"
 #include "pilot/context.hpp"
-#include "simtime/stats.hpp"
 
 namespace {
 
@@ -24,7 +27,7 @@ std::size_t g_bytes = 1;
 PI_CHANNEL* g_fwd = nullptr;
 PI_CHANNEL* g_rev = nullptr;
 PI_PROCESS* g_spe = nullptr;
-std::vector<double> g_samples;
+std::vector<simtime::SimTime> g_samples;  // round trips
 
 PI_SPE_PROGRAM(jitter_responder) {
   std::vector<std::byte> buf(g_bytes);
@@ -50,7 +53,7 @@ int jitter_main(int argc, char* argv[]) {
     const simtime::SimTime start = clock.now();
     PI_Write(g_fwd, "%*b", static_cast<int>(g_bytes), buf.data());
     PI_Read(g_rev, "%*b", static_cast<int>(g_bytes), buf.data());
-    g_samples.push_back(simtime::to_us(clock.now() - start) / 2.0);
+    g_samples.push_back(clock.now() - start);
   }
   PI_StopMain(0);
   return 0;
@@ -59,7 +62,10 @@ int jitter_main(int argc, char* argv[]) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_reps = argc > 1 ? std::atoi(argv[1]) : 200;
+  g_reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: jitter [reps]")
+          : 200;
 
   std::printf(
       "Per-repetition one-way latency, type-2 channel, 1 B payload, %d "
@@ -75,22 +81,40 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  simtime::Stats warmup;
-  simtime::Stats steady;
-  for (std::size_t i = 0; i < g_samples.size(); ++i) {
-    (i < 5 ? warmup : steady).add(g_samples[i]);
+  // One-way latency in µs: half a round trip.
+  const auto one_way_us = [](simtime::SimTime rtt) {
+    return simtime::to_us(rtt) / 2.0;
+  };
+  const std::size_t warmup = std::min<std::size_t>(5, g_samples.size());
+  const std::vector<simtime::SimTime> steady(g_samples.begin() + warmup,
+                                             g_samples.end());
+  const double n = static_cast<double>(steady.size());
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -min;
+  for (const simtime::SimTime s : steady) {
+    sum += one_way_us(s);
+    min = std::min(min, one_way_us(s));
+    max = std::max(max, one_way_us(s));
   }
+  const double mean = steady.empty() ? 0.0 : sum / n;
+  double acc = 0.0;
+  for (const simtime::SimTime s : steady) {
+    acc += (one_way_us(s) - mean) * (one_way_us(s) - mean);
+  }
+  const double stddev = steady.size() < 2 ? 0.0 : std::sqrt(acc / (n - 1));
+  const benchkit::SampleStats pct = benchkit::summarize_samples(steady);
 
   std::printf("first repetitions (pipeline fill):\n");
-  for (std::size_t i = 0; i < 5 && i < g_samples.size(); ++i) {
-    std::printf("  rep %zu: %.1f us\n", i, g_samples[i]);
+  for (std::size_t i = 0; i < warmup; ++i) {
+    std::printf("  rep %zu: %.1f us\n", i, one_way_us(g_samples[i]));
   }
   std::printf(
       "\nsteady state over %zu reps:\n"
       "  mean %.2f us  stddev %.3f us  min %.1f  p50 %.1f  p99 %.1f  max "
       "%.1f\n",
-      steady.count(), steady.mean(), steady.stddev(), steady.min(),
-      steady.percentile(50), steady.percentile(99), steady.max());
+      steady.size(), mean, stddev, min, one_way_us(pct.p50),
+      one_way_us(pct.p99), max);
   std::printf(
       "\nInterpretation: after the pipeline fills, the virtual-time\n"
       "simulation is exactly periodic (stddev ~ 0): the paper's 1000-rep\n"

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "benchkit/args.hpp"
 #include "benchkit/loadgen.hpp"
 
 namespace {
@@ -30,14 +31,14 @@ namespace {
 using benchkit::loadgen::Config;
 using benchkit::loadgen::kClassCount;
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--seed N] [--quick] [--chaos copilot|spe|blade|<spec>]\n"
-      "          [--respawn N] [--ckpt FILE] [--ckpt-every N]\n"
-      "          [--points a,b,...] [--horizon-ms X]\n"
-      "          [--blades N] [--out FILE]\n",
-      argv0);
+constexpr const char* kUsage =
+    "usage: loadgen [--seed N] [--quick] [--chaos copilot|spe|blade|<spec>]\n"
+    "               [--respawn N] [--ckpt FILE] [--ckpt-every N]\n"
+    "               [--points a,b,...] [--horizon-ms X]\n"
+    "               [--blades N] [--out FILE]";
+
+int usage() {
+  std::fprintf(stderr, "%s\n", kUsage);
   return 2;
 }
 
@@ -75,13 +76,13 @@ int main(int argc, char** argv) {
     };
     if (arg == "--seed") {
       const char* v = need_value("--seed");
-      if (v == nullptr) return usage(argv[0]);
+      if (v == nullptr) return usage();
       cfg.seed = std::strtoull(v, nullptr, 10);
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--chaos") {
       const char* v = need_value("--chaos");
-      if (v == nullptr) return usage(argv[0]);
+      if (v == nullptr) return usage();
       // Two named cocktails cover the tracked recovery paths; anything
       // else is a raw core/faultplan spec.
       if (std::strcmp(v, "copilot") == 0) {
@@ -101,48 +102,44 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--respawn") {
       const char* v = need_value("--respawn");
-      if (v == nullptr) return usage(argv[0]);
-      cfg.respawn_budget = std::atoi(v);
+      if (v == nullptr) return usage();
+      cfg.respawn_budget = benchkit::positive_count(v, kUsage);
     } else if (arg == "--ckpt") {
       const char* v = need_value("--ckpt");
-      if (v == nullptr) return usage(argv[0]);
+      if (v == nullptr) return usage();
       cfg.ckpt_path = v;
     } else if (arg == "--ckpt-every") {
       const char* v = need_value("--ckpt-every");
-      if (v == nullptr) return usage(argv[0]);
-      cfg.ckpt_every = std::atoi(v);
-      if (cfg.ckpt_every <= 0) {
-        std::fprintf(stderr, "loadgen: bad --ckpt-every\n");
-        return usage(argv[0]);
-      }
+      if (v == nullptr) return usage();
+      cfg.ckpt_every = benchkit::positive_count(v, kUsage);
     } else if (arg == "--points") {
       const char* v = need_value("--points");
       if (v == nullptr || !parse_points(v, &cfg.load_points_rps)) {
         std::fprintf(stderr, "loadgen: bad --points list\n");
-        return usage(argv[0]);
+        return usage();
       }
       points_set = true;
     } else if (arg == "--horizon-ms") {
       const char* v = need_value("--horizon-ms");
-      if (v == nullptr) return usage(argv[0]);
+      if (v == nullptr) return usage();
       const double ms = std::strtod(v, nullptr);
       if (ms <= 0) {
         std::fprintf(stderr, "loadgen: bad --horizon-ms\n");
-        return usage(argv[0]);
+        return usage();
       }
       cfg.horizon = simtime::ms(ms);
       horizon_set = true;
     } else if (arg == "--blades") {
       const char* v = need_value("--blades");
-      if (v == nullptr) return usage(argv[0]);
-      cfg.blades = std::atoi(v);
+      if (v == nullptr) return usage();
+      cfg.blades = benchkit::positive_count(v, kUsage);
     } else if (arg == "--out") {
       const char* v = need_value("--out");
-      if (v == nullptr) return usage(argv[0]);
+      if (v == nullptr) return usage();
       out_path = v;
     } else {
       std::fprintf(stderr, "loadgen: unknown flag %s\n", arg.c_str());
-      return usage(argv[0]);
+      return usage();
     }
   }
 

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "benchkit/args.hpp"
 #include "benchkit/benchjson.hpp"
 #include "benchkit/pingpong.hpp"
 #include "cellsim/spu.hpp"
@@ -111,7 +112,10 @@ int farm_main(int argc, char* argv[]) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_strips = argc > 1 ? std::atoi(argv[1]) : 64;
+  g_strips =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: scaling_farm [strips]")
+          : 64;
 
   std::printf("Case-study scaling: pi integration farm, %d strips\n\n",
               g_strips);

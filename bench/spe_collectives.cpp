@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "benchkit/args.hpp"
 #include "core/cellpilot.hpp"
 #include "pilot/context.hpp"
 
@@ -90,7 +91,10 @@ double run(int workers, bool bundles) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_doubles = argc > 1 ? std::atoi(argv[1]) : 64;
+  g_doubles =
+      argc > 1 ? benchkit::positive_count(
+                     argv[1], "usage: spe_collectives [payload_doubles]")
+               : 64;
   std::printf(
       "SPE collectives (extension): broadcast+gather round trip over N SPE\n"
       "workers, %d doubles per worker\n\n",

@@ -11,11 +11,15 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchkit/args.hpp"
 #include "benchkit/benchjson.hpp"
 #include "benchkit/pingpong.hpp"
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 200;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: sweep_sizes [reps]")
+          : 200;
   const simtime::CostModel cost = simtime::default_cost_model();
   const std::size_t sizes[] = {1,    16,    256,   1600,
                                4096, 16384, 65536};

@@ -10,11 +10,15 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "benchkit/args.hpp"
 #include "benchkit/benchjson.hpp"
 #include "benchkit/pingpong.hpp"
 
 int main(int argc, char** argv) {
-  const int reps = argc > 1 ? std::atoi(argv[1]) : 1000;
+  const int reps =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: table2_pingpong [reps]")
+          : 1000;
   const simtime::CostModel cost = simtime::default_cost_model();
 
   // The paper's reference numbers, for side-by-side comparison.

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "benchkit/args.hpp"
 #include "benchkit/benchjson.hpp"
 #include "benchkit/pingpong.hpp"
 #include "cellsim/spu.hpp"
@@ -141,7 +142,10 @@ int farm_main(int argc, char* argv[]) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_strips = argc > 1 ? std::atoi(argv[1]) : 48;
+  g_strips =
+      argc > 1
+          ? benchkit::positive_count(argv[1], "usage: async_farm [strips]")
+          : 48;
 
   cluster::ClusterConfig config;
   config.nodes.push_back(cluster::NodeSpec::cell(1));

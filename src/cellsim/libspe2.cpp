@@ -2,7 +2,6 @@
 
 #include "cellsim/errors.hpp"
 #include "cellsim/spu.hpp"
-#include "simtime/trace.hpp"
 
 namespace cellsim::spe2 {
 
@@ -39,7 +38,6 @@ int SpeContext::run(const spe_program_handle_t& program, std::uint64_t argp,
   (void)text;
   (void)stack;
 
-  const simtime::SimTime begin = spe_.clock().now();
   spu::bind(spu::SpuEnv{&spe_, &spe_.cost(), spe_.physical_id()});
   int code = 0;
   try {
@@ -49,10 +47,6 @@ int SpeContext::run(const spe_program_handle_t& program, std::uint64_t argp,
     throw;
   }
   spu::unbind();
-  simtime::Trace::global().record(
-      spe_.name(), simtime::TraceKind::kSpeLaunch,
-      std::string("run ") + (program.name ? program.name : "?"), begin,
-      spe_.clock().now());
   if (stop_info != nullptr) stop_info->exit_code = code;
   ran_ = true;
   return code;

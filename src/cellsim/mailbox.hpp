@@ -18,9 +18,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "cellsim/errors.hpp"
 #include "simtime/sim_time.hpp"
@@ -92,8 +92,15 @@ class Mailbox {
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<MailboxEntry> fifo_;
+  // A ring over storage sized once at construction, so a deposit or a
+  // read never allocates.
+  std::vector<MailboxEntry> slots_;
+  std::size_t head_ = 0;  ///< index of the oldest entry
+  std::size_t size_ = 0;  ///< entries queued
   bool closed_ = false;
+
+  void push_locked(std::uint32_t value, simtime::SimTime stamp);
+  MailboxEntry pop_locked();
 };
 
 }  // namespace cellsim

@@ -3,7 +3,6 @@
 #include "cellsim/errors.hpp"
 #include "cellsim/inject.hpp"
 #include "simtime/metrics.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace cellsim::spu {
@@ -50,9 +49,6 @@ std::uint32_t spu_read_in_mbox() {
   const MailboxEntry entry = e.spe->inbound_mailbox().pop_blocking();
   e.spe->clock().join(entry.stamp);
   const simtime::SimTime end = e.spe->clock().advance(e.cost->mbox_spu_read);
-  simtime::Trace::global().record(e.spe->name(),
-                                  simtime::TraceKind::kMailboxRead,
-                                  "in_mbox", begin, end);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPop, e.spe->name(),
                               begin, end, sizeof(std::uint32_t));
@@ -75,9 +71,6 @@ void spu_write_out_mbox(std::uint32_t value) {
   const simtime::SimTime begin = e.spe->clock().now();
   const simtime::SimTime end = e.spe->clock().advance(e.cost->mbox_spu_write);
   e.spe->outbound_mailbox().push_blocking(value, end);
-  simtime::Trace::global().record(e.spe->name(),
-                                  simtime::TraceKind::kMailboxWrite,
-                                  "out_mbox", begin, end);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPush, e.spe->name(),
                               begin, end, sizeof(std::uint32_t));
@@ -90,9 +83,6 @@ void spu_write_out_intr_mbox(std::uint32_t value) {
   const simtime::SimTime begin = e.spe->clock().now();
   const simtime::SimTime end = e.spe->clock().advance(e.cost->mbox_spu_write);
   e.spe->outbound_interrupt_mailbox().push_blocking(value, end);
-  simtime::Trace::global().record(e.spe->name(),
-                                  simtime::TraceKind::kMailboxWrite,
-                                  "out_intr_mbox", begin, end);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPush, e.spe->name(),
                               begin, end, sizeof(std::uint32_t));

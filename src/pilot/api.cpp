@@ -26,7 +26,6 @@
 #include "pilot/deadlock.hpp"
 #include "pilot/wire.hpp"
 #include "simtime/timeseries.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace pilot {
@@ -265,11 +264,6 @@ void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   ctx.mpi().send(ws.staging.data(), ws.staging.size(), rt.write_dest, rt.tag);
   cellpilot::trace::ChannelCounters::global().add_message(ch->id,
                                                           payload_bytes);
-  simtime::Trace::global().record(
-      ctx.app().cluster().world().info(ctx.rank()).name,
-      simtime::TraceKind::kPilotCall,
-      "PI_Write " + ch->name + " " + std::to_string(payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(
         simtime::tracebuf::Kind::kPilotWrite,
@@ -380,12 +374,6 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   scatter(rs.plan, payload);
   charge_rank_call(ctx, rs.plan.payload_bytes);
   const simtime::SimTime call_end = ctx.mpi().clock().now();
-  simtime::Trace::global().record(
-      app.cluster().world().info(ctx.rank()).name,
-      simtime::TraceKind::kPilotCall,
-      "PI_Read " + ch->name + " " + std::to_string(rs.plan.payload_bytes) +
-          "B",
-      0, call_end);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead,
                               app.cluster().world().info(ctx.rank()).name,
@@ -517,8 +505,7 @@ void record_submit(const PI_OP& op, const std::string& entity,
 /// Rank-side harvest: retires a write handle, performs the deferred
 /// receive of a read handle.  Releases `op` on every path, throwing the
 /// recorded fault for faulted operations.
-void rank_harvest(PilotContext& ctx, PI_OP& op, const char* what,
-                  const char* file, int line) {
+void rank_harvest(PilotContext& ctx, PI_OP& op, const char* file, int line) {
   cp::Engine& engine = cp::Engine::local();
   PilotApp& app = ctx.app();
   PI_CHANNEL& ch = app.channel(op.channel);
@@ -569,11 +556,6 @@ void rank_harvest(PilotContext& ctx, PI_OP& op, const char* what,
   scatter(op.plan, payload);
   charge_rank_call(ctx, op.plan.payload_bytes);
   const simtime::SimTime end = ctx.mpi().clock().now();
-  simtime::Trace::global().record(
-      entity, simtime::TraceKind::kPilotCall,
-      std::string(what) + " " + ch.name + " " +
-          std::to_string(op.plan.payload_bytes) + "B",
-      0, end);
   record_harvest(op, ch, entity, wait_begin, end);
   engine.release(&op);
 }
@@ -717,10 +699,6 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
       std::memory_order_relaxed);
   cp::set_state(*op, cp::State::kComplete);
   cp::OpRegistry::global().add(op, rank_entity(ctx));
-  simtime::Trace::global().record(
-      rank_entity(ctx), simtime::TraceKind::kPilotCall,
-      "PI_WriteAsync " + ch->name + " " + std::to_string(payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   record_submit(*op, rank_entity(ctx), ctx.mpi().clock().now());
   return op;
 }
@@ -802,11 +780,6 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
   }
   if (!doomed) cp::set_state(*op, cp::State::kInFlight);
   cp::OpRegistry::global().add(op, rank_entity(ctx));
-  simtime::Trace::global().record(
-      rank_entity(ctx), simtime::TraceKind::kPilotCall,
-      "PI_ReadAsync " + ch->name + " " +
-          std::to_string(op->plan.payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   record_submit(*op, rank_entity(ctx), ctx.mpi().clock().now());
   return op;
 }
@@ -852,6 +825,7 @@ int PI_Configure(int* argc, char*** argv) {
   bool have_respawn = false;
   bool have_ckpt = false;
   bool have_ckpt_every = false;
+  bool have_svc_trace = false;
   if (argc != nullptr && argv != nullptr) {
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
@@ -859,7 +833,7 @@ int PI_Configure(int* argc, char*** argv) {
       if (std::strcmp(a, "-pisvc=d") == 0) {
         opts.deadlock_detection = true;
       } else if (std::strcmp(a, "-pisvc=t") == 0) {
-        opts.trace_calls = true;
+        have_svc_trace = true;
       } else if (std::strncmp(a, "-pifault=", 9) == 0) {
         // Fault-injection plan; overrides the CELLPILOT_FAULTS baseline.
         fault_spec = a + 9;
@@ -1009,10 +983,15 @@ int PI_Configure(int* argc, char*** argv) {
     // machinery: same base deadline, same doubling retry budget.
     mpisim::reliable::set_backoff(opts.spe_deadline,
                                   opts.spe_deadline_retries);
-    // -pisvc=t: record every modelled primitive in the global event trace.
-    if (opts.trace_calls) simtime::Trace::global().set_enabled(true);
     if (!trace_file.empty()) {
       cellpilot::trace::TraceSession::global().configure(trace_file);
+    }
+    // -pisvc=t is accepted for paper-style command lines, but the trace
+    // only arms through its file; say so instead of tracing into nothing.
+    if (have_svc_trace && !cellpilot::trace::TraceSession::global().armed()) {
+      std::fprintf(stderr,
+                   "cellpilot: ignoring -pisvc=t without -pitrace=FILE or "
+                   "CELLPILOT_TRACE (tracing stays disarmed)\n");
     }
     if (!metrics_file.empty()) {
       cellpilot::metrics::MetricsSession::global().configure(metrics_file);
@@ -1441,7 +1420,7 @@ void PI_Wait_(const char* file, int line, PI_HANDLE h) {
     return;
   }
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Wait", file, line);
-  rank_harvest(ctx, op, "PI_Wait", file, line);
+  rank_harvest(ctx, op, file, line);
 }
 
 int PI_Test_(const char* file, int line, PI_HANDLE h) {
@@ -1457,7 +1436,7 @@ int PI_Test_(const char* file, int line, PI_HANDLE h) {
     charge_rank_call(ctx, 0);
     if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) return 0;
   }
-  rank_harvest(ctx, op, "PI_Test", file, line);
+  rank_harvest(ctx, op, file, line);
   return 1;
 }
 
@@ -1482,7 +1461,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   // fault recorded at submission must surface): harvest the lowest index.
   for (int i = 0; i < count; ++i) {
     if (cpn::is_settled(*handles[i])) {
-      rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+      rank_harvest(ctx, *handles[i], file, line);
       return i;
     }
   }
@@ -1497,7 +1476,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   mpisim::MatchQueue& queue = ctx.app().cluster().world().queue(ctx.rank());
   if (const auto hit = queue.try_probe_any(patterns)) {
     const int i = static_cast<int>(hit->first);
-    rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+    rank_harvest(ctx, *handles[i], file, line);
     return i;
   }
   // Nothing ready: an operation whose writer already died (with nothing
@@ -1512,7 +1491,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
         op.status.store(failure->status, std::memory_order_relaxed);
         op.fault_detail = failure->detail;
         cpn::set_state(op, cpn::State::kFaulted);
-        rank_harvest(ctx, op, "PI_WaitAny", file, line);  // throws
+        rank_harvest(ctx, op, file, line);  // throws
         return i;
       }
     }
@@ -1524,7 +1503,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   const auto [index, env] = queue.probe_any_blocking(patterns);
   notify_unblock(ctx);
   const int i = static_cast<int>(index);
-  rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+  rank_harvest(ctx, *handles[i], file, line);
   return i;
 }
 
@@ -1807,20 +1786,17 @@ int PI_MyProcess(void) {
   return context().my_process;
 }
 
-void PI_Log_(const char* file, int line, const char* message) {
-  std::string who = "P" + std::to_string(PI_MyProcess());
-  simtime::SimTime now = 0;
-  if (SpeDispatch* sd = spe_dispatch()) {
-    (void)sd;
-    now = cellsim::spu::self().clock().now();
-  } else {
-    now = context().mpi().clock().now();
-  }
-  simtime::Trace::global().record(
-      who, simtime::TraceKind::kOther,
-      std::string(message ? message : "") + " (" + (file ? file : "?") +
-          ":" + std::to_string(line) + ")",
-      now, now);
+void PI_Log_(const char* /*file*/, int line, const char* message) {
+  if (!simtime::tracebuf::armed()) return;
+  const simtime::SimTime now = spe_dispatch() != nullptr
+                                   ? cellsim::spu::self().clock().now()
+                                   : context().mpi().clock().now();
+  // The trace keeps who, when, where and how long the message was; its
+  // text has no field in the fixed-size event and is not stored.
+  simtime::tracebuf::record(simtime::tracebuf::Kind::kUser,
+                            "P" + std::to_string(PI_MyProcess()), now, now,
+                            message != nullptr ? std::strlen(message) : 0,
+                            /*channel=*/-1, /*route_type=*/0, line);
 }
 
 void PI_Abort_(const char* file, int line, int code, const char* message) {

@@ -43,7 +43,6 @@ inline constexpr int kTagUserBarrierOut = mpisim::kReservedTagBase + 67;
 /// Options parsed by PI_Configure from the command line.
 struct Options {
   bool deadlock_detection = false;  ///< -pisvc=d
-  bool trace_calls = false;         ///< -pisvc=t (log every PI_* call)
   /// Co-Pilot supervision deadline: an SPE request whose mailbox words
   /// span more than this much virtual time is declared stalled
   /// (-pideadline=<dur>).  Supervision is a read-only comparison on

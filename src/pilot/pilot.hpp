@@ -302,8 +302,10 @@ int PI_ProcessCount(void);
 /// execution phase on rank- and SPE-side alike.
 int PI_MyProcess(void);
 
-/// Records a user event in the job's event log (visible with -pisvc=t);
-/// callable from rank and SPE processes alike.
+/// Records a `user` instant in the job's trace (-pitrace=FILE or
+/// CELLPILOT_TRACE): entity P<process id>, aux = source line, bytes =
+/// message length; the text itself is not stored.  A no-op while tracing
+/// is disarmed.  Callable from rank and SPE processes alike.
 void PI_Log_(const char* file, int line, const char* message);
 #define PI_Log(message) PI_Log_(__FILE__, __LINE__, message)
 

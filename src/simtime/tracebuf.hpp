@@ -74,7 +74,7 @@ enum class Kind : std::uint8_t {
   kCkptCut,           ///< a Co-Pilot contributed its shard (aux = cut id)
   kCkptCommit,        ///< all shards in; checkpoint file written (aux = cut)
   kBladeRestore,      ///< blade contexts relaunched from a checkpoint
-  kUser,              ///< reserved for ad-hoc instrumentation
+  kUser,              ///< PI_Log instant (aux = line, bytes = text length)
 };
 
 /// Stable lower-case token for a kind (used in trace JSON and tests).

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baseline/handcoded.hpp"
 
 namespace {
@@ -106,6 +108,21 @@ TEST(Benchkit, ZeroCostModelCollapsesLatency) {
   spec.reps = 10;
   EXPECT_EQ(benchkit::pingpong(spec, Method::kDma, zero), 0);
   EXPECT_EQ(benchkit::pingpong(spec, Method::kCellPilot, zero), 0);
+}
+
+// The nearest-rank summary benches apply to their own sample lists.
+TEST(Stats, EmptyDefaults) {
+  const benchkit::SampleStats s = benchkit::summarize_samples({});
+  EXPECT_EQ(s.p50, 0);
+  EXPECT_EQ(s.p99, 0);
+}
+
+TEST(Stats, PercentilesByNearestRank) {
+  std::vector<simtime::SimTime> samples;
+  for (int i = 100; i >= 1; --i) samples.push_back(i);  // unsorted input
+  const benchkit::SampleStats s = benchkit::summarize_samples(samples);
+  EXPECT_EQ(s.p50, 50);
+  EXPECT_EQ(s.p99, 99);
 }
 
 }  // namespace

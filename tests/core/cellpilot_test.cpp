@@ -12,8 +12,9 @@
 #include "cellsim/spu.hpp"
 #include "core/cellpilot.hpp"
 #include "core/protocol.hpp"
+#include "core/trace.hpp"
 #include "pilot/context.hpp"
-#include "simtime/trace.hpp"
+#include "simtime/tracebuf.hpp"
 
 namespace {
 
@@ -129,7 +130,7 @@ PI_SPE_PROGRAM(t4_consumer) {
 TEST(CellPilot, Type4SpeToSpeConversationStaysOnChip) {
   cluster::Cluster machine = one_cell();
   g_sum.store(0);
-  simtime::ScopedTrace trace;
+  cellpilot::trace::ScopedTraceCapture capture;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* prod = PI_CreateSPE(t4_producer, PI_MAIN, 0);
@@ -148,8 +149,11 @@ TEST(CellPilot, Type4SpeToSpeConversationStaysOnChip) {
   EXPECT_EQ(g_sum.load(), expect);
   // Protocol invariant: type-4 data never crosses MPI — every transfer is
   // a Co-Pilot mapped copy.  20 transfers = 20 mapped copies.
-  EXPECT_EQ(simtime::Trace::global().count(simtime::TraceKind::kMappedCopy),
-            20u);
+  std::size_t pairs = 0;
+  for (const auto& e : capture.drain()) {
+    if (e.kind == simtime::tracebuf::Kind::kCopilotPair) ++pairs;
+  }
+  EXPECT_EQ(pairs, 20u);
 }
 
 // --- Type 5: SPE <-> SPE across nodes ------------------------------------------

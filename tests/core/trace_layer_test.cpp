@@ -219,6 +219,34 @@ std::string traced_run() {
   return chrome_trace_json({batch});
 }
 
+TEST(Trace, DisabledRecordsNothing) {
+  tb::clear();
+  ASSERT_FALSE(tb::armed());
+  tb::record(tb::Kind::kDmaGet, "x", 0, 1, 16);
+  ScopedTraceCapture capture;
+  EXPECT_TRUE(capture.drain().empty())
+      << "an event recorded while disarmed must not surface later";
+}
+
+TEST(Trace, ScopedTraceCollectsAndStops) {
+  {
+    ScopedTraceCapture capture;
+    tb::record(tb::Kind::kDmaGet, "spe0", 0, us(14), 16);
+    tb::record(tb::Kind::kMboxPush, "spe0", us(14), us(15), 4);
+    const auto events = capture.drain();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].kind, tb::Kind::kDmaGet);
+    EXPECT_EQ(events[1].kind, tb::Kind::kMboxPush);
+  }
+  EXPECT_FALSE(tb::armed());
+}
+
+TEST(Trace, KindNamesAreStable) {
+  EXPECT_STREQ(tb::kind_name(tb::Kind::kDmaGet), "dma_get");
+  EXPECT_STREQ(tb::kind_name(tb::Kind::kCopilotRelay), "copilot_relay");
+  EXPECT_STREQ(tb::kind_name(tb::Kind::kPilotWrite), "pilot_write");
+}
+
 TEST(TraceDeterminism, TwoSeededRunsSerializeByteIdentically) {
   const std::string first = traced_run();
   const std::string second = traced_run();

@@ -2,30 +2,40 @@
 // paper's §IV design prescribes for each channel type — no more, no fewer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/cellpilot.hpp"
-#include "simtime/trace.hpp"
+#include "core/protocol.hpp"
+#include "core/trace.hpp"
+#include "simtime/tracebuf.hpp"
 
 namespace {
+
+namespace tb = simtime::tracebuf;
+using cellpilot::Opcode;
+using cellpilot::trace::ScopedTraceCapture;
 
 PI_CHANNEL* g_ch = nullptr;
 PI_PROCESS* g_remote_spe = nullptr;
 int g_tag = 0;  // captured during the run: channels die with the app
 
-/// Counts trace events of `kind` from entities containing `who` whose
-/// detail contains `needle`.
-std::size_t count_events(simtime::TraceKind kind, const std::string& who,
-                         const std::string& needle) {
+/// Counts events of `kind` from entities containing `who` whose aux (the
+/// MPI tag, the Co-Pilot request opcode) equals `aux`, if one is given.
+std::size_t count_events(const std::vector<tb::Event>& events, tb::Kind kind,
+                         const std::string& who,
+                         std::optional<std::int64_t> aux = std::nullopt) {
   std::size_t n = 0;
-  for (const auto& e : simtime::Trace::global().events()) {
-    if (e.kind == kind && e.entity.find(who) != std::string::npos &&
-        e.detail.find(needle) != std::string::npos) {
-      ++n;
-    }
+  for (const auto& e : events) {
+    const bool from_who = std::string(e.entity).find(who) != std::string::npos;
+    if (e.kind == kind && from_who && (!aux || e.aux == *aux)) ++n;
   }
   return n;
 }
+
+std::int64_t opcode(Opcode op) { return static_cast<std::int64_t>(op); }
 
 PI_SPE_PROGRAM(ts_reader) {
   int v = 0;
@@ -37,7 +47,7 @@ TEST(TraceStructure, Type2WriteIsOneLocalMpiMessageAndOneRequest) {
   cluster::ClusterConfig config;
   config.nodes.push_back(cluster::NodeSpec::cell(1));
   cluster::Cluster machine(std::move(config));
-  simtime::ScopedTrace trace;
+  ScopedTraceCapture capture;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* spe = PI_CreateSPE(ts_reader, PI_MAIN, 0);
@@ -50,17 +60,16 @@ TEST(TraceStructure, Type2WriteIsOneLocalMpiMessageAndOneRequest) {
     return 0;
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
-  const std::string tag = "tag=" + std::to_string(g_tag);
+  const auto events = capture.drain();
   // Exactly one data message, from the writing rank to the Co-Pilot.
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "rank0", tag), 1u);
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "copilot", tag), 0u);
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "rank0", g_tag), 1u);
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "copilot", g_tag), 0u);
   // Exactly one SPE request serviced (the read).
-  EXPECT_EQ(count_events(simtime::TraceKind::kCopilotService, "copilot",
-                         "read ch="),
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotRequest, "copilot",
+                         opcode(Opcode::kRead)),
             1u);
   // Nothing is a type-4 local copy.
-  EXPECT_EQ(simtime::Trace::global().count(simtime::TraceKind::kMappedCopy),
-            0u);
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotPair, ""), 0u);
 }
 
 PI_SPE_PROGRAM(ts_writer) {
@@ -75,7 +84,7 @@ int ts_parent(int /*index*/, void* /*arg*/) {
 
 TEST(TraceStructure, Type5CrossesTheNetworkExactlyOnceViaTwoCopilots) {
   cluster::Cluster machine(cluster::ClusterConfig::two_cells());
-  simtime::ScopedTrace trace;
+  ScopedTraceCapture capture;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* parent = PI_CreateProcess(ts_parent, 0, nullptr);
@@ -89,19 +98,19 @@ TEST(TraceStructure, Type5CrossesTheNetworkExactlyOnceViaTwoCopilots) {
     return 0;
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
-  const std::string tag = "tag=" + std::to_string(g_tag);
+  const auto events = capture.drain();
   // One relay: writer's Co-Pilot (node0) -> reader's Co-Pilot (node1).
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "node0.copilot", tag),
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "node0.copilot", g_tag),
             1u);
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "node1.copilot", tag),
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "node1.copilot", g_tag),
             0u);
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "rank", tag), 0u);
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "rank", g_tag), 0u);
   // One write request at node0, one read request at node1.
-  EXPECT_EQ(count_events(simtime::TraceKind::kCopilotService, "node0",
-                         "write ch="),
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotRequest, "node0",
+                         opcode(Opcode::kWrite)),
             1u);
-  EXPECT_EQ(count_events(simtime::TraceKind::kCopilotService, "node1",
-                         "read ch="),
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotRequest, "node1",
+                         opcode(Opcode::kRead)),
             1u);
 }
 
@@ -114,7 +123,7 @@ TEST(TraceStructure, Type4NeverTouchesMpiDataPaths) {
   cluster::ClusterConfig config;
   config.nodes.push_back(cluster::NodeSpec::cell(1));
   cluster::Cluster machine(std::move(config));
-  simtime::ScopedTrace trace;
+  ScopedTraceCapture capture;
   PI_PROCESS* reader_proc = nullptr;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
@@ -129,15 +138,13 @@ TEST(TraceStructure, Type4NeverTouchesMpiDataPaths) {
     return 0;
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
-  const std::string tag = "tag=" + std::to_string(g_tag);
+  const auto events = capture.drain();
   // No MPI message ever carries the channel's data...
-  EXPECT_EQ(count_events(simtime::TraceKind::kMpiSend, "", tag), 0u);
+  EXPECT_EQ(count_events(events, tb::Kind::kMpiSend, "", g_tag), 0u);
   // ...exactly one local-store to local-store copy does.
-  EXPECT_EQ(simtime::Trace::global().count(simtime::TraceKind::kMappedCopy),
-            1u);
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotPair, ""), 1u);
   // Both requests serviced by the single Co-Pilot.
-  EXPECT_EQ(count_events(simtime::TraceKind::kCopilotService, "copilot", ""),
-            2u);
+  EXPECT_EQ(count_events(events, tb::Kind::kCopilotRequest, "copilot"), 2u);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <string>
 
 #include "core/cellpilot.hpp"
+#include "core/trace.hpp"
 #include "pilot/errors.hpp"
-#include "simtime/trace.hpp"
+#include "simtime/tracebuf.hpp"
 
 namespace {
 
@@ -45,6 +47,7 @@ TEST(PilotApi, ConfigureStripsPilotOptions) {
   std::atomic<int> remaining{-1};
   cellpilot::RunOptions opts;
   opts.args = {"-pisvc=x-not-ours", "-pisvc=t"};
+  testing::internal::CaptureStderr();
   const auto r = cellpilot::run(
       machine,
       [&](int argc, char** argv) {
@@ -56,9 +59,14 @@ TEST(PilotApi, ConfigureStripsPilotOptions) {
         return 0;
       },
       opts);
-  simtime::Trace::global().set_enabled(false);  // undo -pisvc=t
+  const std::string err = testing::internal::GetCapturedStderr();
   EXPECT_FALSE(r.aborted) << r.abort_reason;
   EXPECT_EQ(remaining.load(), 2);  // program name + unknown arg survive
+  // -pisvc=t alone arms nothing; it says what would.
+  EXPECT_FALSE(simtime::tracebuf::armed());
+  EXPECT_NE(err.find("ignoring -pisvc=t without -pitrace=FILE"),
+            std::string::npos)
+      << err;
 }
 
 int echo_worker(int /*index*/, void* /*arg*/) {
@@ -466,23 +474,28 @@ TEST(PilotApi, PiLogRecordsIntoTheTrace) {
   cluster::ClusterConfig config;
   config.nodes.push_back(cluster::NodeSpec::xeon(1));
   cluster::Cluster machine(std::move(config));
-  simtime::ScopedTrace scoped;
+  cellpilot::trace::ScopedTraceCapture capture;
+  const char* message = "phase one complete";
+  int log_line = 0;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_StartAll();
-    PI_Log("phase one complete");
+    log_line = __LINE__ + 1;
+    PI_Log(message);
     PI_StopMain(0);
     return 0;
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
-  bool found = false;
-  for (const auto& e : simtime::Trace::global().events()) {
-    if (e.detail.find("phase one complete") != std::string::npos) {
-      found = true;
-      EXPECT_EQ(e.entity, "P0");
-    }
+  int found = 0;
+  for (const auto& e : capture.drain()) {
+    if (e.kind != simtime::tracebuf::Kind::kUser) continue;
+    ++found;
+    EXPECT_STREQ(e.entity, "P0");
+    EXPECT_EQ(e.aux, log_line);
+    EXPECT_EQ(e.bytes, std::strlen(message));
+    EXPECT_EQ(e.begin, e.end);
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(found, 1);
 }
 
 }  // namespace

@@ -200,7 +200,12 @@ TEST(SloGate, DegradedP99GatedWhenBothRunsCaptureIt) {
 class SlogateBinary : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "slogate_test/";
+    // Per-test directory: the tests of this binary run as separate ctest
+    // processes, and under a parallel ctest a shared out.txt and shared
+    // baseline files race.
+    dir_ = ::testing::TempDir() + "slogate_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "/";
     std::system(("mkdir -p " + dir_).c_str());
   }
 
